@@ -119,10 +119,22 @@ class ReferenceBackend final : public Backend
     BackendKind kind() const override { return BackendKind::Reference; }
     bool bitIdenticalToReference() const override { return true; }
 
-    Matrix
-    scoreBatch(const Matrix &input) const override
+    void
+    scoreRows(const Matrix &input, std::size_t r0, std::size_t r1,
+              Matrix &out, FrameScratch &) const override
     {
-        return net.forward(input);
+        checkRows(input, r0, r1, out);
+        if (r0 == r1)
+            return;
+        // The naive path keeps its allocations: it is the oracle the
+        // other backends are measured against, not a serving kernel.
+        Matrix rows(r1 - r0, input.cols());
+        const float *first = input.row(r0).data();
+        std::copy(first, first + rows.data().size(),
+                  rows.data().begin());
+        const Matrix logp = net.forward(rows);
+        std::copy(logp.data().begin(), logp.data().end(),
+                  out.row(r0).data());
     }
 
     void
@@ -313,14 +325,14 @@ pickPanelKernel()
     return &gemmPanel;
 }
 
-/** Full packed-layer GEMM with row blocking for cache reuse. */
+/**
+ * Full packed-layer GEMM over @p rows contiguous rows (x: rows x
+ * layer.in, y: rows x layer.out) with row blocking for cache reuse.
+ */
 void
-gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
-           PanelKernel kernel)
+gemmPacked(const float *xd, std::size_t rows, const PackedLayer &layer,
+           float *yd, PanelKernel kernel)
 {
-    const std::size_t rows = x.rows();
-    const float *xd = x.data().data();
-    float *yd = y.data().data();
     for (std::size_t r0 = 0; r0 < rows; r0 += kRowBlock) {
         const std::size_t r1 = std::min(rows, r0 + kRowBlock);
         for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
@@ -342,27 +354,18 @@ gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
 class PackedFloatBackend : public Backend
 {
   public:
-    Matrix
-    scoreBatch(const Matrix &input) const override
+    void
+    scoreRows(const Matrix &input, std::size_t r0, std::size_t r1,
+              Matrix &out, FrameScratch &scratch) const override
     {
-        ASR_ASSERT(input.cols() == inputDim(),
-                   "backend input dim %zu != %zu", input.cols(),
-                   inputDim());
-        ASR_ASSERT(!layers.empty(), "backend has no layers");
-        // Layer 0 reads the caller's matrix directly (no batch copy
-        // -- this is the serving hot path, one call per tick).
-        const Matrix *x = &input;
-        Matrix cur;
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-            Matrix y(x->rows(), layers[l].out);
-            gemmPacked(*x, layers[l], y, kernel);
-            if (l + 1 < layers.size())
-                reluInPlace(y);
-            cur = std::move(y);
-            x = &cur;
-        }
-        logSoftmaxRows(cur);
-        return cur;
+        checkRows(input, r0, r1, out);
+        if (r0 == r1)
+            return;
+        // Layer 0 reads the caller's matrix and the last layer writes
+        // the caller's output in place (no batch copy -- this is the
+        // serving hot path, one call per thread per tick).
+        forwardRows(input.row(r0).data(), r1 - r0, out.row(r0).data(),
+                    scratch);
     }
 
     void
@@ -372,37 +375,7 @@ class PackedFloatBackend : public Backend
         ASR_ASSERT(spliced.size() == inputDim() &&
                        out.size() == outputDim(),
                    "scoreFrame dim mismatch");
-        const float *x = spliced.data();
-        std::size_t xn = spliced.size();
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-            const PackedLayer &layer = layers[l];
-            const bool last = l + 1 == layers.size();
-            float *y;
-            if (last) {
-                y = out.data();
-            } else {
-                std::vector<float> &buf =
-                    (l % 2 == 0) ? scratch.a : scratch.b;
-                if (buf.size() < layer.out)
-                    buf.resize(layer.out);
-                y = buf.data();
-            }
-            ASR_ASSERT(xn == layer.in, "layer dim mismatch");
-            for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
-                const float *panel =
-                    layer.packed.data() + tile * layer.in * kTile;
-                const std::size_t j0 = tile * kTile;
-                kernel(x, layer.in, panel, layer.bias.data(), j0,
-                       std::min(kTile, layer.out - j0), y, layer.out,
-                       0, 1);
-            }
-            if (!last)
-                for (std::size_t j = 0; j < layer.out; ++j)
-                    y[j] = std::max(y[j], 0.0f);
-            x = y;
-            xn = layer.out;
-        }
-        logSoftmaxRow(out);
+        forwardRows(spliced.data(), 1, out.data(), scratch);
     }
 
     std::uint64_t macsPerFrame() const override { return macs; }
@@ -424,6 +397,38 @@ class PackedFloatBackend : public Backend
     }
 
   private:
+    /**
+     * The whole network over @p rows contiguous input rows @p x into
+     * @p out (rows x outputDim), hidden activations ping-ponging
+     * through @p scratch.
+     */
+    void
+    forwardRows(const float *x, std::size_t rows, float *out,
+                FrameScratch &scratch) const
+    {
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+            const PackedLayer &layer = layers[l];
+            const bool last = l + 1 == layers.size();
+            float *y;
+            if (last) {
+                y = out;
+            } else {
+                std::vector<float> &buf =
+                    (l % 2 == 0) ? scratch.a : scratch.b;
+                if (buf.size() < rows * layer.out)
+                    buf.resize(rows * layer.out);
+                y = buf.data();
+            }
+            gemmPacked(x, rows, layer, y, kernel);
+            if (!last)
+                for (std::size_t i = 0; i < rows * layer.out; ++i)
+                    y[i] = std::max(y[i], 0.0f);
+            x = y;
+        }
+        for (std::size_t r = 0; r < rows; ++r)
+            logSoftmaxRow({out + r * outputDim(), outputDim()});
+    }
+
     std::vector<PackedLayer> layers;
     PanelKernel kernel;
     std::uint64_t macs;
@@ -646,17 +651,13 @@ packAvx2Panels(const QuantLayer &layer)
 class Int8BackendBase : public Backend
 {
   public:
-    Matrix
-    scoreBatch(const Matrix &input) const override
+    void
+    scoreRows(const Matrix &input, std::size_t r0, std::size_t r1,
+              Matrix &out, FrameScratch &scratch) const override
     {
-        ASR_ASSERT(input.cols() == inputDim(),
-                   "backend input dim %zu != %zu", input.cols(),
-                   inputDim());
-        Matrix out(input.rows(), outputDim());
-        FrameScratch scratch;
-        for (std::size_t r = 0; r < input.rows(); ++r)
+        checkRows(input, r0, r1, out);
+        for (std::size_t r = r0; r < r1; ++r)
             scoreRow(input.row(r), out.row(r), scratch);
-        return out;
     }
 
     void
@@ -855,6 +856,30 @@ class Int8Avx2Backend final : public Int8BackendBase
 };
 
 } // namespace
+
+Matrix
+Backend::scoreBatch(const Matrix &input) const
+{
+    Matrix out(input.rows(), outputDim());
+    FrameScratch scratch;
+    scoreRows(input, 0, input.rows(), out, scratch);
+    return out;
+}
+
+void
+Backend::checkRows(const Matrix &input, std::size_t r0, std::size_t r1,
+                   const Matrix &out) const
+{
+    ASR_ASSERT(input.cols() == inputDim(),
+               "backend input dim %zu != %zu", input.cols(),
+               inputDim());
+    ASR_ASSERT(out.rows() == input.rows() && out.cols() == outputDim(),
+               "backend output %zux%zu != %zux%zu", out.rows(),
+               out.cols(), input.rows(), outputDim());
+    ASR_ASSERT(r0 <= r1 && r1 <= input.rows(),
+               "row range [%zu, %zu) outside %zu rows", r0, r1,
+               input.rows());
+}
 
 std::unique_ptr<Backend>
 Backend::create(BackendKind kind, const Dnn &dnn)

@@ -7,10 +7,12 @@
  * scores batch i while the accelerator searches batch i-1).  This
  * interface is the reproduction's seam for that: everything that
  * turns spliced MFCC rows into per-senone log-softmax scores goes
- * through an acoustic::Backend, with a batch entry point (the GEMM
- * path the server's cross-session BatchScorer drives) and a
- * streaming-frame entry point (one spliced row, zero steady-state
- * allocation, what a live session uses between batch ticks).
+ * through an acoustic::Backend, with a row-range entry point (the
+ * GEMM path the server's cross-session BatchScorer drives, one
+ * contiguous row slab per thread), a whole-batch wrapper over it,
+ * and a streaming-frame entry point (one spliced row, zero
+ * steady-state allocation, what a live session uses between batch
+ * ticks).
  *
  * Five implementations:
  *  - Reference:   the naive matmulTransposed path the DNN trains
@@ -48,14 +50,19 @@
  * bias added after the full dot product, ReLU between hidden layers,
  * and normalization through acoustic::logSoftmaxRow.  Because each
  * output row depends only on its input row, scoreBatch over any
- * batch, scoreFrame on a single row, and any cross-session coalescing
- * of rows into one batch are all bit-identical -- this is what lets
- * the server batch frames from unrelated sessions without touching
- * PR 2's determinism contract.
+ * batch, scoreRows over any partition of it, scoreFrame on a single
+ * row, and any cross-session coalescing of rows into one batch are
+ * all bit-identical -- this is what lets the server batch frames
+ * from unrelated sessions, and split the batch across threads,
+ * without touching the engine's determinism contract.  (The int8
+ * backends quantise activations per row, so the same partition
+ * invariance holds for them bitwise too.)
  *
- * Thread safety: backends are immutable after construction; both
- * entry points are const and use caller-provided or local scratch, so
- * one backend instance serves any number of concurrent sessions.
+ * Thread safety: backends are immutable after construction; every
+ * entry point is const and uses caller-provided or local scratch, so
+ * one backend instance serves any number of concurrent sessions, and
+ * concurrent scoreRows calls over disjoint row ranges of one output
+ * matrix (each with its own scratch) are race-free.
  */
 
 #ifndef ASR_ACOUSTIC_BACKEND_HH
@@ -110,9 +117,10 @@ std::vector<std::string_view> acousticBackendNames();
 std::string unknownBackendMessage(std::string_view name);
 
 /**
- * Caller-owned scratch for the streaming-frame entry point.  A
- * session keeps one of these alive so per-frame scoring allocates
- * nothing in steady state; buffers grow to the largest layer once.
+ * Caller-owned activation scratch for scoreFrame and scoreRows.  A
+ * session (or a batch-scoring thread) keeps one of these alive so
+ * scoring allocates nothing in steady state; buffers grow to the
+ * largest layer times the largest row count once.
  */
 struct FrameScratch
 {
@@ -146,16 +154,27 @@ class Backend
     std::size_t outputDim() const { return outDim; }
 
     /**
-     * Batch entry point: @p input is batch x inputDim spliced feature
-     * rows; returns batch x outputDim log-softmax scores.  Row r of
-     * the result depends only on row r of the input.
+     * Row-range entry point: score rows [r0, r1) of @p input (batch x
+     * inputDim spliced feature rows) into the same rows of @p out
+     * (batch x outputDim log-softmax scores), reusing @p scratch.
+     * Writes no other row of @p out, and row r depends only on input
+     * row r, so any partition of a batch into ranges is bit-identical
+     * to one scoreBatch.
      */
-    virtual Matrix scoreBatch(const Matrix &input) const = 0;
+    virtual void scoreRows(const Matrix &input, std::size_t r0,
+                           std::size_t r1, Matrix &out,
+                           FrameScratch &scratch) const = 0;
+
+    /**
+     * Batch entry point: scoreRows over every row of @p input into a
+     * fresh batch x outputDim matrix.
+     */
+    Matrix scoreBatch(const Matrix &input) const;
 
     /**
      * Streaming entry point: score one spliced frame into @p out
      * (outputDim entries), reusing @p scratch across calls.
-     * Bit-identical to the corresponding row of scoreBatch.
+     * Bit-identical to the corresponding row of scoreRows.
      */
     virtual void scoreFrame(std::span<const float> spliced,
                             std::span<float> out,
@@ -179,6 +198,10 @@ class Backend
         : inDim(input_dim), outDim(output_dim)
     {
     }
+
+    /** Fatal unless scoreRows(input, r0, r1, out, ...) is in range. */
+    void checkRows(const Matrix &input, std::size_t r0, std::size_t r1,
+                   const Matrix &out) const;
 
   private:
     std::size_t inDim;

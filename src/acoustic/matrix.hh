@@ -29,6 +29,19 @@ class Matrix
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
+    /**
+     * Reshape to rows x cols, reusing the allocation when it is large
+     * enough (buffers reused across calls).  Element values are left
+     * unspecified: the caller overwrites what it reads.
+     */
+    void
+    resize(std::size_t rows, std::size_t cols)
+    {
+        rows_ = rows;
+        cols_ = cols;
+        data_.resize(rows * cols);
+    }
+
     float &at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
     float at(std::size_t r, std::size_t c) const
     {

@@ -88,7 +88,8 @@ Engine::start()
     if (opts.batchScoring) {
         ASR_ASSERT(opts.maxBatchSessions >= 1,
                    "batch mode needs at least one session slot");
-        batchScorer = std::make_unique<server::BatchScorer>(model_);
+        batchScorer = std::make_unique<server::BatchScorer>(
+            model_, opts.numThreads);
         stageWorkerCount = opts.numThreads - 1;
         coordinator = std::thread([this] { coordinatorLoop(); });
         for (unsigned t = 1; t < opts.numThreads; ++t)
@@ -1090,15 +1091,30 @@ Engine::tick(std::vector<ActiveSession> &active)
     for (const ActiveSession &as : active)
         work += as.tickWork;
 
-    // Stage 2: one cross-session batched forward pass (coordinator).
-    // An auto-endpointed stream contributes its active segment's
-    // session -- null between segments, which the scorer tolerates.
+    // Stage 2: one cross-session batched forward pass.  The
+    // coordinator gathers the rows; the GEMM runs as one contiguous
+    // row slab per participant (coordinator + stage workers) through
+    // the same barrier as stages 1 and 3.  An auto-endpointed stream
+    // contributes its active segment's session -- null between
+    // segments, which the scorer tolerates.
     std::vector<server::StreamingSession *> sessions;
     sessions.reserve(active.size());
     for (ActiveSession &as : active)
         sessions.push_back(as.segmented ? as.segmented->active()
                                         : as.session.get());
-    const std::size_t rows = batchScorer->score(sessions);
+    const std::size_t rows = batchScorer->score(
+        sessions,
+        [this](std::size_t slabs,
+               const std::function<void(std::size_t)> &slab) {
+            const std::function<void(std::size_t)> stalled =
+                [&slab](std::size_t s) {
+                    // Chaos seam: a slow slab must only delay the
+                    // barrier, never corrupt lockstep dispatch.
+                    fault::stall("api.engine.score.stall");
+                    slab(s);
+                };
+            runStage(slabs, stalled);
+        });
     if (rows > 0)
         stats_.recordDnnBatch(rows,
                               batchScorer->lastForwardSeconds());

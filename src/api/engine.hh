@@ -24,8 +24,9 @@
  *    coordinator advances every in-flight session -- one-shot jobs
  *    *and* live streams -- in lockstep ticks and coalesces their
  *    pending DNN frames into one cross-session forward pass per
- *    tick, so live clients get the paper's batching-on-a-throughput-
- *    device economics too.
+ *    tick, split into one row slab per thread of the pool, so live
+ *    clients get the paper's batching-on-a-throughput-device
+ *    economics too.
  *
  * All three produce bit-identical per-utterance results: sessions
  * share one immutable pipeline::AsrModel, every stochastic component

@@ -49,11 +49,15 @@ struct EngineOptions : server::SessionKnobs
      * stream's inbound queue holds), coalesces all pending spliced
      * frames into one batched forward pass (server::BatchScorer),
      * then feeds the scores to each session's frame-synchronous
-     * search.  The per-session advance and search stages run in
-     * parallel across the worker pool; the GEMM batch grows with the
-     * number of active sessions, not the thread count.  Float-backend
-     * results stay bit-identical to non-batched mode (see
-     * acoustic/backend.hh).
+     * search.  All three stages run across the numThreads pool (the
+     * coordinator plus numThreads - 1 stage workers): advance and
+     * search split by session, the forward pass by contiguous row
+     * slab.  The GEMM batch grows with the number of active
+     * sessions; the threads split it.  Results do not depend on the
+     * thread count on any backend, and float-backend results stay
+     * bit-identical to non-batched mode (see acoustic/backend.hh).
+     * The engine's dnnSeconds is the forward pass's wall time, not
+     * CPU time summed over the slabs.
      */
     bool batchScoring = false;
 

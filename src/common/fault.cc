@@ -67,7 +67,7 @@ struct Registry
               "net.client.connect", "net.client.recv",
               "net.client.recv.short", "net.client.send",
               "net.client.send.short", "wfst.compact.load.alloc",
-              "api.engine.tick.stall"})
+              "api.engine.tick.stall", "api.engine.score.stall"})
             points.emplace(name, makePoint(name));
     }
 

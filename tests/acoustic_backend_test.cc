@@ -3,9 +3,10 @@
  * Backend equivalence tests: the blocked float backend must reproduce
  * the reference bit-for-bit across shapes (including tile-tail
  * dimensions and context-splice edge frames), the streaming-frame
- * entry point must equal the corresponding batch row on every
- * backend, and the int8 backend must stay within bounded score error
- * of the float paths.
+ * entry point must equal the corresponding batch row and any
+ * partition of a batch into scoreRows ranges must equal one batch on
+ * every backend, and the int8 backend must stay within bounded score
+ * error of the float paths.
  *
  * The AVX2 variants have their own contracts: int8-avx2 must be
  * bit-identical to scalar int8 (integer addition is associative);
@@ -14,8 +15,10 @@
  * kernel when AVX2 is unavailable (exercised via the test override).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +133,62 @@ TEST(BackendEquivalence, ScoreFrameMatchesBatchRow)
                     << backendName(kind) << " row " << r << " col "
                     << c;
         }
+    }
+}
+
+TEST(BackendEquivalence, ScoreRowsPartitionsMatchOneBatch)
+{
+    // The batch scorer splits a tick into one row slab per thread, so
+    // every partition of a batch into scoreRows ranges must equal one
+    // scoreBatch bitwise, on every backend (int8 quantises per row).
+    // Partitions cover empty ranges, 1-row ranges, uneven splits and
+    // ranges crossing the 32-row block of the packed kernels.
+    const Dnn net = makeNet(33, {40, 17}, 13, 91);
+    constexpr std::size_t kRows = 100;
+    const Matrix input = randomInput(kRows, 33, 12);
+    std::vector<std::size_t> singles;
+    for (std::size_t r = 0; r <= kRows; ++r)
+        singles.push_back(r);
+    const std::vector<std::vector<std::size_t>> partitions = {
+        {0, kRows},
+        singles,
+        {0, 0, 1, 31, 33, 64, 65, 96, 97, kRows, kRows},
+        {0, 50, 50, kRows},
+        {0, 34, 67, kRows},
+        {0, 7, 71, 72, kRows},
+    };
+    for (auto kind :
+         {BackendKind::Reference, BackendKind::Blocked,
+          BackendKind::BlockedAvx2, BackendKind::Int8,
+          BackendKind::Int8Avx2}) {
+        const auto backend = Backend::create(kind, net);
+        const Matrix want = backend->scoreBatch(input);
+        FrameScratch reused;  // shared across partitions, as per slab
+        for (const auto &bounds : partitions) {
+            Matrix got(kRows, backend->outputDim());
+            for (std::size_t i = 0; i + 1 < bounds.size(); ++i)
+                backend->scoreRows(input, bounds[i], bounds[i + 1], got,
+                                   reused);
+            SCOPED_TRACE(std::string(backendName(kind)) + ", " +
+                         std::to_string(bounds.size() - 1) + " ranges");
+            expectBitIdentical(want, got);
+        }
+
+        // A range writes its own rows and nothing else.
+        constexpr float kSentinel = 12345.0f;
+        Matrix got(kRows, backend->outputDim());
+        std::fill(got.data().begin(), got.data().end(), kSentinel);
+        FrameScratch fresh;
+        backend->scoreRows(input, 31, 65, got, fresh);
+        for (std::size_t r = 0; r < kRows; ++r)
+            for (std::size_t c = 0; c < got.cols(); ++c) {
+                if (r >= 31 && r < 65)
+                    ASSERT_EQ(got.at(r, c), want.at(r, c))
+                        << backendName(kind) << " row " << r;
+                else
+                    ASSERT_EQ(got.at(r, c), kSentinel)
+                        << backendName(kind) << " wrote row " << r;
+            }
     }
 }
 

@@ -294,7 +294,7 @@ TEST(FaultRegistry, CanonicalSeamsArePreRegistered)
           "net.client.connect", "net.client.recv",
           "net.client.recv.short", "net.client.send",
           "net.client.send.short", "wfst.compact.load.alloc",
-          "api.engine.tick.stall"})
+          "api.engine.tick.stall", "api.engine.score.stall"})
         EXPECT_TRUE(names.count(want)) << want;
 }
 
@@ -510,7 +510,7 @@ TEST_F(NetChaos, EveryInProcessFaultPointFiresUnderTargetedChaos)
           "net.server.send.short", "net.client.connect",
           "net.client.recv", "net.client.recv.short",
           "net.client.send", "net.client.send.short",
-          "api.engine.tick.stall"}) {
+          "api.engine.tick.stall", "api.engine.score.stall"}) {
         fault::resetStats();
         fault::Config cfg;
         cfg.seed = envSeed();

@@ -3,12 +3,21 @@
  * Tests for cross-session batched DNN scoring (the scheduler's batch
  * mode + server::BatchScorer): per-utterance results must be
  * bit-identical to per-session inline scoring for any thread count
- * and any batch-session cap, the deferred-session protocol must
+ * and any batch-session cap, batched results must not depend on the
+ * thread count (the forward pass is split into one row slab per
+ * thread) on any acoustic backend, the deferred-session protocol must
  * round-trip by hand, and the engine must actually coalesce frames
  * (mean batch > 1 with many concurrent sessions).
  */
 
+#include <algorithm>
+#include <functional>
 #include <future>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,16 +66,31 @@ class ServerBatchTest : public ::testing::Test
         mcfg.trainEpochs = 8;
         mcfg.beam = 14.0f;
         mcfg.seed = 47;
+        modelConfig = mcfg;
         model = new pipeline::AsrModel(*net, mcfg);
     }
 
     static void
     TearDownTestSuite()
     {
+        backendModels.clear();
         delete model;
         delete net;
         model = nullptr;
         net = nullptr;
+    }
+
+    /** The suite's model trained identically, scoring through @p kind. */
+    static const pipeline::AsrModel &
+    modelFor(acoustic::BackendKind kind)
+    {
+        auto &slot = backendModels[kind];
+        if (!slot) {
+            pipeline::AsrSystemConfig cfg = modelConfig;
+            cfg.acousticBackend = kind;
+            slot = std::make_unique<pipeline::AsrModel>(*net, cfg);
+        }
+        return *slot;
     }
 
     static frontend::AudioSignal
@@ -85,7 +109,15 @@ class ServerBatchTest : public ::testing::Test
               const std::vector<frontend::AudioSignal> &corpus,
               EngineSnapshot *snap = nullptr)
     {
-        DecodeScheduler engine(*model, cfg);
+        return runEngine(*model, cfg, corpus, snap);
+    }
+
+    static std::vector<pipeline::RecognitionResult>
+    runEngine(const pipeline::AsrModel &m, const SchedulerConfig &cfg,
+              const std::vector<frontend::AudioSignal> &corpus,
+              EngineSnapshot *snap = nullptr)
+    {
+        DecodeScheduler engine(m, cfg);
         std::vector<std::future<pipeline::RecognitionResult>> futures;
         futures.reserve(corpus.size());
         for (const auto &audio : corpus)
@@ -113,10 +145,30 @@ class ServerBatchTest : public ::testing::Test
 
     static wfst::Wfst *net;
     static pipeline::AsrModel *model;
+    static pipeline::AsrSystemConfig modelConfig;
+    static std::map<acoustic::BackendKind,
+                    std::unique_ptr<pipeline::AsrModel>>
+        backendModels;
 };
 
 wfst::Wfst *ServerBatchTest::net = nullptr;
 pipeline::AsrModel *ServerBatchTest::model = nullptr;
+pipeline::AsrSystemConfig ServerBatchTest::modelConfig;
+std::map<acoustic::BackendKind, std::unique_ptr<pipeline::AsrModel>>
+    ServerBatchTest::backendModels;
+
+/** Runs fn(0..count-1) on count concurrent threads and joins them. */
+void
+threadPerIndex(std::size_t count,
+               const std::function<void(std::size_t)> &fn)
+{
+    std::vector<std::thread> threads;
+    for (std::size_t i = 1; i < count; ++i)
+        threads.emplace_back(fn, i);
+    fn(0);
+    for (std::thread &t : threads)
+        t.join();
+}
 
 } // namespace
 
@@ -143,30 +195,67 @@ TEST_F(ServerBatchTest, BatchModeMatchesPerSessionExactly)
 
 TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
 {
+    // Every thread count splits the tick's forward pass into a
+    // different set of row slabs; no backend may notice.
     const auto audios = corpus(8);
-    std::vector<std::vector<wfst::WordId>> refWords;
-    std::vector<wfst::LogProb> refScores;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SchedulerConfig cfg;
-        cfg.numThreads = threads;
-        cfg.baseSeed = 3;
-        cfg.batchScoring = true;
-        cfg.ditherAmplitude = 1e-4f;  // exercise per-session RNG too
-        const auto results = runEngine(cfg, audios);
-        if (threads == 1) {
-            for (const auto &r : results) {
-                refWords.push_back(r.words);
-                refScores.push_back(r.score);
+    for (auto kind :
+         {acoustic::BackendKind::Reference,
+          acoustic::BackendKind::Blocked,
+          acoustic::BackendKind::BlockedAvx2,
+          acoustic::BackendKind::Int8,
+          acoustic::BackendKind::Int8Avx2}) {
+        const pipeline::AsrModel &m = modelFor(kind);
+        std::vector<std::vector<wfst::WordId>> refWords;
+        std::vector<wfst::LogProb> refScores;
+        for (unsigned threads : {1u, 2u, 3u, 4u}) {
+            SchedulerConfig cfg;
+            cfg.numThreads = threads;
+            cfg.baseSeed = 3;
+            cfg.batchScoring = true;
+            cfg.ditherAmplitude = 1e-4f;  // exercise per-session RNG
+            const auto results = runEngine(m, cfg, audios);
+            if (threads == 1) {
+                for (const auto &r : results) {
+                    refWords.push_back(r.words);
+                    refScores.push_back(r.score);
+                }
+                continue;
             }
-            continue;
-        }
-        for (std::size_t u = 0; u < results.size(); ++u) {
-            EXPECT_EQ(results[u].words, refWords[u])
-                << threads << " threads, utterance " << u;
-            EXPECT_EQ(results[u].score, refScores[u])
-                << threads << " threads, utterance " << u;
+            for (std::size_t u = 0; u < results.size(); ++u) {
+                EXPECT_EQ(results[u].words, refWords[u])
+                    << acoustic::backendName(kind) << ", " << threads
+                    << " threads, utterance " << u;
+                EXPECT_EQ(results[u].score, refScores[u])
+                    << acoustic::backendName(kind) << ", " << threads
+                    << " threads, utterance " << u;
+            }
         }
     }
+}
+
+TEST_F(ServerBatchTest, FewerRowsThanThreadsPerTick)
+{
+    // One short session advancing one 10 ms chunk per tick puts at
+    // most a frame or two in each tick's batch, fewer rows than the
+    // four participants: the surplus participants get no slab.
+    const std::vector<frontend::AudioSignal> audios = {
+        testAudio(61, 2)};
+    SchedulerConfig plain;
+    plain.numThreads = 1;
+    plain.baseSeed = 9;
+    const auto ref = runEngine(plain, audios);
+
+    SchedulerConfig batched = plain;
+    batched.numThreads = 4;
+    batched.batchScoring = true;
+    batched.chunksPerTick = 1;
+    EngineSnapshot snap;
+    const auto got = runEngine(batched, audios, &snap);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(ref[0].words, got[0].words);
+    EXPECT_EQ(ref[0].score, got[0].score);
+    EXPECT_GT(snap.dnnBatches, 0u);
+    EXPECT_LT(snap.dnnMaxBatchRows, 4.0);
 }
 
 TEST_F(ServerBatchTest, SessionCapDoesNotChangeResults)
@@ -271,6 +360,85 @@ TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
     EXPECT_EQ(want.words, got.words);
     EXPECT_EQ(want.score, got.score);
     EXPECT_EQ(want.audioSeconds, got.audioSeconds);
+}
+
+TEST_F(ServerBatchTest, SlabbedScorerToleratesNullSessionsAndEmptyTicks)
+{
+    // Drive two deferred sessions through a four-slab scorer on real
+    // threads, interleaved with null entries (retired sessions) and
+    // ticks where nothing is pending; each must still match its
+    // inline twin exactly.
+    const frontend::AudioSignal audioA = testAudio(42);
+    const frontend::AudioSignal audioB = testAudio(43, 9);
+    const auto inlineDecode = [](const frontend::AudioSignal &audio,
+                                 std::uint64_t id) {
+        SessionConfig cfg;
+        cfg.id = id;
+        StreamingSession session(*model, cfg);
+        session.pushAudio(audio.samples);
+        return session.finish();
+    };
+    const auto wantA = inlineDecode(audioA, 7);
+    const auto wantB = inlineDecode(audioB, 8);
+
+    SessionConfig cfgA;
+    cfgA.id = 7;
+    cfgA.deferScoring = true;
+    SessionConfig cfgB = cfgA;
+    cfgB.id = 8;
+    StreamingSession a(*model, cfgA);
+    StreamingSession b(*model, cfgB);
+    BatchScorer scorer(*model, 4);
+    StreamingSession *sessions[] = {nullptr, &a, nullptr, &b};
+
+    // Nothing pending yet: a zero-row tick runs no forward pass.
+    EXPECT_EQ(scorer.score(sessions, threadPerIndex), 0u);
+    EXPECT_EQ(scorer.lastForwardSeconds(), 0.0);
+    EXPECT_EQ(scorer.secondsShare(1), 0.0);
+
+    const auto tick = [&] {
+        if (scorer.score(sessions, threadPerIndex) > 0) {
+            EXPECT_EQ(scorer.base(3) + b.pendingRows(),
+                      scorer.scores().rows());
+        }
+        EXPECT_EQ(scorer.secondsShare(0), 0.0);  // null: no rows
+        for (std::size_t i = 0; i < std::size(sessions); ++i)
+            if (sessions[i] && sessions[i]->pendingRows() > 0)
+                sessions[i]->consumePendingScores(
+                    scorer.scores(), scorer.base(i),
+                    scorer.secondsShare(i));
+    };
+    // A pushes 10 ms chunks, B 25 ms chunks, so the per-tick row
+    // counts (and with them the slab boundaries) keep shifting; the
+    // shorter stream leaves B ticking alone, and a push smaller than
+    // a frame hop leaves a tick with nothing to score.
+    std::size_t offA = 0, offB = 0;
+    while (offA < audioA.samples.size() ||
+           offB < audioB.samples.size()) {
+        const std::size_t lenA =
+            std::min<std::size_t>(160, audioA.samples.size() - offA);
+        a.pushAudio(std::span<const float>(
+            audioA.samples.data() + offA, lenA));
+        offA += lenA;
+        const std::size_t lenB =
+            std::min<std::size_t>(400, audioB.samples.size() - offB);
+        b.pushAudio(std::span<const float>(
+            audioB.samples.data() + offB, lenB));
+        offB += lenB;
+        tick();
+        tick();  // everything was consumed: a zero-row tick
+        EXPECT_EQ(scorer.lastForwardSeconds(), 0.0);
+    }
+    a.flushPending();
+    b.flushPending();
+    tick();
+    const auto gotA = a.finalizeFinish();
+    const auto gotB = b.finalizeFinish();
+
+    EXPECT_EQ(wantA.words, gotA.words);
+    EXPECT_EQ(wantA.score, gotA.score);
+    EXPECT_EQ(wantB.words, gotB.words);
+    EXPECT_EQ(wantB.score, gotB.score);
 }
 
 TEST_F(ServerBatchTest, AcceleratorBackendInBatchMode)
